@@ -34,6 +34,7 @@ examples:
 	$(PYTHON) examples/thermal_shutdown_study.py
 	$(PYTHON) examples/extensions_tour.py
 	$(PYTHON) examples/saturation_analysis.py
+	$(PYTHON) examples/telemetry_walkthrough.py
 
 clean:
 	rm -rf results .pytest_cache .benchmarks

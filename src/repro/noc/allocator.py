@@ -6,246 +6,254 @@ The paper's router performs virtual-channel allocation in two steps
 arbiters).  Switch allocation (Sec. 3.2.6) is separable the same way: SA1
 picks one VC per input port, SA2 picks one input port per output port.
 
-These classes operate on abstract request descriptors so the router stays
-readable; they are deliberately stateful (the arbiters rotate priority
-between cycles) to model fairness the way hardware does.
+Both allocators are one integer-bitmask kernel.  Input VCs are *units*,
+the router's flat index ``port * num_vcs + vc``; a request set is an int
+whose bit ``k`` asserts requester ``k``; every arbiter is one slot of a
+flat list of round-robin pointers.  One arbitration is
+rotate-then-lowest-set-bit::
+
+    hi = mask >> nxt
+    w = nxt + lsb(hi) if hi else lsb(mask)
+    nxt = (w + 1) % n
+
+the first asserted line at or after the pointer, wrapping around — the
+grant and pointer update of a scanning
+:class:`~repro.noc.arbiter.RoundRobinArbiter`, bit for bit.  A sole
+requester is a one-bit mask, so every requester count takes the same
+path.  The pointers rotate between cycles to model fairness the way
+hardware does.
+
+Grant order is part of the contract (the router traverses grants in
+order, which fixes timing-wheel slot order):
+
+* VA stage 1 reads the ``free`` masks as passed — the router's free-VC
+  masks as they were before any grant of the cycle.  Grants come out in
+  first-appearance order of ``(out_port, out_vc)`` over the requests.
+* SA stage 1 takes input ports in first-appearance order (ascending,
+  since the router passes units sorted); SA2 grants come out in
+  first-appearance order of output port over the SA1 winners.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple  # noqa: F401
-
-from repro.noc.arbiter import RoundRobinArbiter
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 
-class VARequest(NamedTuple):
-    """An input VC (identified by ``(in_port, in_vc)``) asking for a free
-    output VC on ``out_port``.
+class _SeparableAllocator:
+    """Round-robin pointer lists of the two arbitration stages.
 
-    ``allowed_vcs`` restricts the candidate output VCs (e.g. the paper's
-    one-VC-per-traffic-class policy, Sec. 3.2.4); ``None`` = any VC.
-
-    A named tuple rather than a dataclass: requests are constructed in
-    the per-cycle hot loop and tuple construction is several times
-    cheaper.
+    Both allocators have *n* arbiters per stage: VA one per input VC and
+    per output VC (``n = P*V``), SA one per input port and per output
+    port (``n = P``).  Stage 1 arbiters are ``V:1`` and stage 2 arbiters
+    ``n:1``.
     """
 
-    in_port: int
-    in_vc: int
-    out_port: int
-    allowed_vcs: Optional[Tuple[int, ...]] = None
+    #: Labels of the stage-1 / stage-2 arbiters (sanitizer messages).
+    _names: Tuple[str, str]
+
+    def __init__(self, num_ports: int, num_vcs: int, n: int) -> None:
+        self.num_ports = num_ports
+        self.num_vcs = num_vcs
+        #: Stage-1 / stage-2 round-robin pointers, one per arbiter.
+        self.next1: List[int] = [0] * n
+        self.next2: List[int] = [0] * n
+
+    def check_sane(self) -> Optional[str]:
+        """``None`` when every pointer is legal, else a message naming
+        the first corrupted arbiter (sanitizer hook).  A corrupted
+        pointer silently biases — or, out of range, wedges — arbitration
+        long before anything crashes."""
+        for name, pointers, size in (
+            (self._names[0], self.next1, self.num_vcs),
+            (self._names[1], self.next2, len(self.next2)),
+        ):
+            for idx, nxt in enumerate(pointers):
+                if not isinstance(nxt, int) or not 0 <= nxt < size:
+                    return (
+                        f"{name} arbiter {self._label(idx)}: round-robin "
+                        f"pointer {nxt!r} outside [0, {size})"
+                    )
+        return None
+
+    def _label(self, idx: int) -> str:
+        return str(idx)
 
 
-class SARequest(NamedTuple):
-    """An input VC with a buffered flit asking for the crossbar slot to
-    ``out_port``."""
-
-    in_port: int
-    in_vc: int
-    out_port: int
-
-
-class VirtualChannelAllocator:
+class VirtualChannelAllocator(_SeparableAllocator):
     """Separable two-stage VC allocator.
 
-    ``grants = allocate(requests, free)`` maps each winning
-    ``(in_port, in_vc)`` to its granted ``(out_port, out_vc)``.  ``free``
-    gives the currently unowned output VCs per output port.
+    ``allocate(units, out_port, allowed, free)`` takes the requesting
+    units, unit -> output port and unit -> allowed-VC mask lookups, and
+    the free-VC mask of every output port; it returns the grants as
+    ``(unit, out_port, out_vc)`` triples.  ``allowed`` restricts the
+    candidate output VCs (the one-VC-per-class policy of Sec. 3.2.4,
+    torus datelines, escape-VC classes).
     """
 
+    _names = ("VA1", "VA2")
+
     def __init__(self, num_ports: int, num_vcs: int) -> None:
-        self.num_ports = num_ports
-        self.num_vcs = num_vcs
-        # VA1: one V:1 arbiter per input VC choosing among candidate out VCs.
-        self._va1 = {
-            (p, v): RoundRobinArbiter(num_vcs)
-            for p in range(num_ports)
-            for v in range(num_vcs)
-        }
-        # VA2: one PV:1 arbiter per output VC choosing among input VCs.
-        self._va2 = {
-            (p, v): RoundRobinArbiter(num_ports * num_vcs)
-            for p in range(num_ports)
-            for v in range(num_vcs)
-        }
+        # VA1: one V:1 arbiter per input VC; VA2: one PV:1 arbiter per
+        # output VC (indexed out_port * num_vcs + out_vc).
+        super().__init__(num_ports, num_vcs, num_ports * num_vcs)
+        # Stage-2 requester mask per output VC; all zero between calls.
+        self._contenders = [0] * (num_ports * num_vcs)
+
+    def _label(self, idx: int) -> str:
+        return str(divmod(idx, self.num_vcs))
 
     def allocate(
         self,
-        requests: Sequence[VARequest],
-        free: Dict[int, Sequence[bool]],
-    ) -> Dict[Tuple[int, int], Tuple[int, int]]:
-        if len(requests) == 1:
-            # Sole requester: stage 1 still arbitrates among the free
-            # output VCs, but stage 2 has exactly one contender, so its
-            # arbiter grant reduces to a pointer rotation.
-            req = requests[0]
-            free_vcs = free.get(req.out_port)
-            if free_vcs is None:
-                return {}
-            if req.allowed_vcs is not None:
-                allowed = set(req.allowed_vcs)
-                lines = [f and v in allowed for v, f in enumerate(free_vcs)]
-            else:
-                lines = list(free_vcs)
-            if not any(lines):
-                return {}
-            choice = self._va1[(req.in_port, req.in_vc)].grant(lines)
-            if choice is None:
-                return {}
-            out_key = (req.out_port, choice)
-            self._va2[out_key].grant_sole(
-                req.in_port * self.num_vcs + req.in_vc
-            )
-            return {(req.in_port, req.in_vc): out_key}
-
-        # Stage 1: each input VC picks one candidate output VC among the
-        # free VCs of its requested output port.
-        candidates: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        for req in requests:
-            free_vcs = free.get(req.out_port)
-            if free_vcs is None:
-                continue
-            if req.allowed_vcs is not None:
-                allowed = set(req.allowed_vcs)
-                lines = [
-                    f and v in allowed for v, f in enumerate(free_vcs)
-                ]
-            else:
-                lines = list(free_vcs)
-            if not any(lines):
-                continue
-            choice = self._va1[(req.in_port, req.in_vc)].grant(lines)
-            if choice is not None:
-                candidates[(req.in_port, req.in_vc)] = (req.out_port, choice)
-
+        units: Sequence[int],
+        out_port: Sequence[int],
+        allowed: Sequence[int],
+        free: Sequence[int],
+    ) -> List[Tuple[int, int, int]]:
+        num_vcs = self.num_vcs
+        # Stage 1: each input VC picks one candidate among the free,
+        # allowed VCs of its output port.  Candidates are collected as
+        # requester masks per output VC, in first-appearance order.
+        next1 = self.next1
+        contenders = self._contenders
+        keys = []
+        for unit in units:
+            out = out_port[unit]
+            mask = free[out] & allowed[unit]
+            if mask:
+                nxt = next1[unit]
+                hi = mask >> nxt
+                vc = (
+                    nxt + (hi & -hi).bit_length() - 1 if hi
+                    else (mask & -mask).bit_length() - 1
+                )
+                next1[unit] = vc + 1 if vc + 1 < num_vcs else 0
+                key = out * num_vcs + vc
+                mask = contenders[key]
+                if not mask:
+                    keys.append(key)
+                contenders[key] = mask | 1 << unit
         # Stage 2: each contested output VC picks one input VC.
-        grants: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        by_out: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for in_key, out_key in candidates.items():
-            by_out.setdefault(out_key, []).append(in_key)
-        for out_key, contenders in by_out.items():
-            lines = [False] * (self.num_ports * self.num_vcs)
-            for in_port, in_vc in contenders:
-                lines[in_port * self.num_vcs + in_vc] = True
-            winner = self._va2[out_key].grant(lines)
-            if winner is not None:
-                in_port, in_vc = divmod(winner, self.num_vcs)
-                grants[(in_port, in_vc)] = out_key
+        next2 = self.next2
+        size = len(next2)
+        grants = []
+        for key in keys:
+            mask = contenders[key]
+            contenders[key] = 0
+            nxt = next2[key]
+            hi = mask >> nxt
+            unit = (
+                nxt + (hi & -hi).bit_length() - 1 if hi
+                else (mask & -mask).bit_length() - 1
+            )
+            next2[key] = unit + 1 if unit + 1 < size else 0
+            grants.append((unit, key // num_vcs, key % num_vcs))
         return grants
 
-    def check_sane(self) -> Optional[str]:
-        """``None`` when every arbiter's state is legal, else a message
-        naming the first corrupted one (sanitizer hook)."""
-        for key, arbiter in self._va1.items():
-            problem = arbiter.check_sane()
-            if problem:
-                return f"VA1 arbiter for input VC {key}: {problem}"
-        for key, arbiter in self._va2.items():
-            problem = arbiter.check_sane()
-            if problem:
-                return f"VA2 arbiter for output VC {key}: {problem}"
-        return None
 
-
-class SwitchAllocator:
+class SwitchAllocator(_SeparableAllocator):
     """Separable two-stage switch allocator.
 
-    ``allocate(requests)`` returns the winning requests, at most one per
-    input port and one per output port (the crossbar constraint).
+    ``allocate(units, out_port)`` takes the requesting units and a
+    unit -> output port lookup, and returns the winning units, at most
+    one per input port and one per output port (the crossbar
+    constraint).
 
-    ``priorities`` (optional) maps ``(in_port, in_vc)`` to a QoS class;
-    within each arbitration only the highest-priority contenders compete
-    (strict priority with round-robin tie-breaking), which is the
-    QoS-provisioning mode of Sec. 3.3.
+    ``priorities`` (optional) maps a unit to its QoS class (missing
+    units are class 0); within each arbitration only the
+    highest-priority contenders compete — strict priority with
+    round-robin tie-breaking, the QoS-provisioning mode of Sec. 3.3.
     """
 
-    def __init__(self, num_ports: int, num_vcs: int) -> None:
-        self.num_ports = num_ports
-        self.num_vcs = num_vcs
-        # SA1: one V:1 arbiter per input port.
-        self._sa1 = [RoundRobinArbiter(num_vcs) for _ in range(num_ports)]
-        # SA2: one P:1 arbiter per output port (inputs already reduced to
-        # one VC each by SA1).
-        self._sa2 = [RoundRobinArbiter(num_ports) for _ in range(num_ports)]
+    _names = ("SA1", "SA2")
 
-    @staticmethod
-    def _priority_filter(
-        reqs: List[SARequest],
-        priorities: Optional[Dict[Tuple[int, int], int]],
-    ) -> List[SARequest]:
-        if not priorities or len(reqs) <= 1:
-            return reqs
-        best = max(priorities.get((r.in_port, r.in_vc), 0) for r in reqs)
-        return [r for r in reqs if priorities.get((r.in_port, r.in_vc), 0) == best]
+    def __init__(self, num_ports: int, num_vcs: int) -> None:
+        # SA1: one V:1 arbiter per input port; SA2: one P:1 arbiter per
+        # output port (inputs already reduced to one VC each by SA1).
+        super().__init__(num_ports, num_vcs, num_ports)
+        # Per-call scratch: stage-1 request mask per input port and
+        # stage-2 requester mask per output port (all zero between
+        # calls), and the SA1 winner unit per input port.
+        self._wants = [0] * num_ports
+        self._contenders = [0] * num_ports
+        self._won = [0] * num_ports
 
     def allocate(
         self,
-        requests: Sequence[SARequest],
-        priorities: Optional[Dict[Tuple[int, int], int]] = None,
-    ) -> List[SARequest]:
-        if len(requests) == 1:
-            # Sole requester wins both stages outright (priority filters
-            # are identity on single-element lists); both arbiters would
-            # grant their only asserted line, so just rotate pointers.
-            req = requests[0]
-            self._sa1[req.in_port].grant_sole(req.in_vc)
-            self._sa2[req.out_port].grant_sole(req.in_port)
-            return [req]
-        if len(requests) == 2:
-            # Two requests with disjoint input and output ports never
-            # conflict: each touches its own SA1/SA2 arbiter as the sole
-            # contender, and the general path would emit them in request
-            # order (stage-1 and stage-2 dicts preserve insertion order).
-            a, b = requests
-            if a.in_port != b.in_port and a.out_port != b.out_port:
-                self._sa1[a.in_port].grant_sole(a.in_vc)
-                self._sa1[b.in_port].grant_sole(b.in_vc)
-                self._sa2[a.out_port].grant_sole(a.in_port)
-                self._sa2[b.out_port].grant_sole(b.in_port)
-                return [a, b]
-
-        # Stage 1: per input port, pick one requesting VC.
-        stage1: Dict[int, SARequest] = {}
-        by_in: Dict[int, List[SARequest]] = {}
-        for req in requests:
-            by_in.setdefault(req.in_port, []).append(req)
-        for in_port, reqs in by_in.items():
-            reqs = self._priority_filter(reqs, priorities)
-            lines = [False] * self.num_vcs
-            lookup: Dict[int, SARequest] = {}
-            for req in reqs:
-                lines[req.in_vc] = True
-                lookup[req.in_vc] = req
-            winner = self._sa1[in_port].grant(lines)
-            if winner is not None:
-                stage1[in_port] = lookup[winner]
-
+        units: Sequence[int],
+        out_port: Sequence[int],
+        priorities: Optional[Mapping[int, int]] = None,
+    ) -> List[int]:
+        num_vcs = self.num_vcs
+        # Stage-1 request masks (VC bits) per input port, and the ports
+        # in first-appearance order.
+        wants = self._wants
+        ports = []
+        for unit in units:
+            port = unit // num_vcs
+            mask = wants[port]
+            if not mask:
+                ports.append(port)
+            wants[port] = mask | 1 << (unit - port * num_vcs)
+        # Stage 1: per input port, pick one VC; collect the winners as
+        # input-port masks per output port, in first-appearance order.
+        next1 = self.next1
+        won = self._won
+        contenders = self._contenders
+        outs = []
+        for port in ports:
+            mask = wants[port]
+            wants[port] = 0
+            if priorities:
+                base = port * num_vcs
+                vcs = range(base, base + num_vcs)
+                mask = _top_class(mask, vcs, priorities)
+            nxt = next1[port]
+            hi = mask >> nxt
+            vc = (
+                nxt + (hi & -hi).bit_length() - 1 if hi
+                else (mask & -mask).bit_length() - 1
+            )
+            next1[port] = vc + 1 if vc + 1 < num_vcs else 0
+            unit = port * num_vcs + vc
+            won[port] = unit
+            out = out_port[unit]
+            mask = contenders[out]
+            if not mask:
+                outs.append(out)
+            contenders[out] = mask | 1 << port
         # Stage 2: per output port, pick one input port.
-        grants: List[SARequest] = []
-        by_out: Dict[int, List[SARequest]] = {}
-        for req in stage1.values():
-            by_out.setdefault(req.out_port, []).append(req)
-        for out_port, reqs in by_out.items():
-            reqs = self._priority_filter(reqs, priorities)
-            lines = [False] * self.num_ports
-            lookup = {}
-            for req in reqs:
-                lines[req.in_port] = True
-                lookup[req.in_port] = req
-            winner = self._sa2[out_port].grant(lines)
-            if winner is not None:
-                grants.append(lookup[winner])
+        next2 = self.next2
+        num_ports = self.num_ports
+        grants = []
+        for out in outs:
+            mask = contenders[out]
+            contenders[out] = 0
+            if priorities:
+                mask = _top_class(mask, won, priorities)
+            nxt = next2[out]
+            hi = mask >> nxt
+            port = (
+                nxt + (hi & -hi).bit_length() - 1 if hi
+                else (mask & -mask).bit_length() - 1
+            )
+            next2[out] = port + 1 if port + 1 < num_ports else 0
+            grants.append(won[port])
         return grants
 
-    def check_sane(self) -> Optional[str]:
-        """``None`` when every arbiter's state is legal, else a message
-        naming the first corrupted one (sanitizer hook)."""
-        for in_port, arbiter in enumerate(self._sa1):
-            problem = arbiter.check_sane()
-            if problem:
-                return f"SA1 arbiter for input port {in_port}: {problem}"
-        for out_port, arbiter in enumerate(self._sa2):
-            problem = arbiter.check_sane()
-            if problem:
-                return f"SA2 arbiter for output port {out_port}: {problem}"
-        return None
+
+def _top_class(
+    mask: int, units: Sequence[int], priorities: Mapping[int, int]
+) -> int:
+    """The bits ``k`` of *mask* whose unit ``units[k]`` is in the highest
+    QoS class among them (strict priority)."""
+    best = None
+    keep = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        prio = priorities.get(units[low.bit_length() - 1], 0)
+        if best is None or prio > best:
+            best, keep = prio, low
+        elif prio == best:
+            keep |= low
+    return keep

@@ -7,8 +7,10 @@ The paper's VA and SA logic are built from ``V:1`` and ``PV:1`` arbiters
 * :class:`MatrixArbiter` — least-recently-served matrix arbiter, the
   structure whose area model (``n^2`` state bits) backs Table 1.
 
-Both expose the same ``grant(requests)`` interface and are interchangeable
-in the allocators.
+Both expose the same ``grant(requests)`` interface.  The router's VA/SA
+allocators (:mod:`repro.noc.allocator`) run the round-robin policy as a
+bitmask kernel on flat pointer lists; :class:`RoundRobinArbiter` is the
+scanning reference it must match bit for bit.
 """
 
 from __future__ import annotations
@@ -42,30 +44,6 @@ class RoundRobinArbiter:
             if requests[idx]:
                 self._next = (idx + 1) % self.size
                 return idx
-        return None
-
-    def grant_sole(self, idx: int) -> int:
-        """Fast path for a single asserted line: grant *idx* with the
-        exact pointer update :meth:`grant` would make, without scanning.
-
-        The caller asserts ``idx`` is the only requester — with one line
-        asserted the rotating scan always lands on it regardless of the
-        current pointer, so the outcome is bit-identical to the general
-        path.
-        """
-        self._next = (idx + 1) % self.size
-        return idx
-
-    def check_sane(self) -> Optional[str]:
-        """``None`` when the rotation pointer is in range, else what is
-        wrong.  A corrupted pointer silently biases (or, if negative /
-        out of range in just the wrong way, wedges) arbitration long
-        before anything crashes, so the sanitizer audits it."""
-        if not isinstance(self._next, int) or not 0 <= self._next < self.size:
-            return (
-                f"round-robin pointer {self._next!r} outside "
-                f"[0, {self.size})"
-            )
         return None
 
 

@@ -29,14 +29,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.noc.allocator import (
-    SARequest,
-    SwitchAllocator,
-    VARequest,
-    VirtualChannelAllocator,
-)
+from repro.noc.allocator import SwitchAllocator, VirtualChannelAllocator
 from repro.noc.buffer import VirtualChannelBuffer
-from repro.noc.packet import Flit
+from repro.noc.packet import Flit, PacketClass
 from repro.noc.routing import RoutingFunction, UnroutableError
 from repro.noc.stats import EventCounts
 from repro.topology.base import LOCAL_PORT, LinkSpec, Topology
@@ -174,12 +169,14 @@ class Router:
         self._adaptive = routing.is_adaptive
         #: Routing functions with a VC discipline (torus datelines,
         #: escape-layer tables) dictate the permissible out VCs per
-        #: packet at VA time.
+        #: packet; the router fixes them with the route, for VA.
         self._vc_discipline = routing.has_vc_discipline
         if self._vc_discipline and vc_by_class:
             raise ValueError(
                 "vc_by_class cannot be combined with a routing VC discipline"
             )
+        #: Whether the allowed-VC mask depends on the packet at all.
+        self._vc_restricted = self._vc_discipline or vc_by_class
         if num_vcs < routing.required_vcs:
             raise ValueError(
                 f"routing function needs >= {routing.required_vcs} virtual "
@@ -200,6 +197,10 @@ class Router:
         self.vc_ready: List[int] = [0] * units
         self.vc_out_port: List[int] = [-1] * units
         self.vc_out_vc: List[int] = [-1] * units
+        #: Output VCs the head flit may claim on its routed port, as a
+        #: bitmask; set with the route (RC or look-ahead arrival).
+        self._all_vcs = (1 << num_vcs) - 1
+        self.vc_allowed: List[int] = [self._all_vcs] * units
         self.vc_buffers: List[VirtualChannelBuffer] = [
             VirtualChannelBuffer(buffer_depth) for _ in range(units)
         ]
@@ -226,22 +227,13 @@ class Router:
             [None] * num_vcs for _ in range(self.num_ports)
         ]
 
+        #: Free-VC bitmask per output port: bit ``v`` set while output
+        #: VC ``v`` has no owner.  Mirrors ``out_owner`` — both change
+        #: only in :meth:`_apply_va_grant` and the tail release of
+        #: :meth:`_traverse_flat` — and is what VA arbitrates over.
+        self.free_vcs: List[int] = [self._all_vcs] * self.num_ports
         self._va = VirtualChannelAllocator(self.num_ports, num_vcs)
         self._sa = SwitchAllocator(self.num_ports, num_vcs)
-        # Pre-resolved arbiter objects so the fast paths rotate pointers
-        # without dict lookups (same instances the allocators scan).
-        self._va1_arbs = [
-            self._va._va1[(p, v)]
-            for p in range(self.num_ports)
-            for v in range(num_vcs)
-        ]
-        self._va2_arbs = [
-            self._va._va2[(p, v)]
-            for p in range(self.num_ports)
-            for v in range(num_vcs)
-        ]
-        self._sa1_arbs = list(self._sa._sa1)
-        self._sa2_arbs = list(self._sa._sa2)
         self._hop_cycles = (
             ST_LT_MERGED_CYCLES if combined_st_lt else ST_LT_SPLIT_CYCLES
         )
@@ -336,8 +328,6 @@ class Router:
     @staticmethod
     def _class_vc(flit: Flit) -> int:
         """VC dedicated to this flit's traffic class: 0 ctrl, 1 data."""
-        from repro.noc.packet import PacketClass
-
         return 1 if flit.packet.klass is PacketClass.DATA else 0
 
     def _pick_adaptive_port(self, dst: int) -> int:
@@ -471,6 +461,8 @@ class Router:
                 else:
                     # The route travelled with the flit: skip to VA.
                     self.vc_out_port[i] = port_idx
+                    if self._vc_restricted:
+                        self.vc_allowed[i] = self._allowed_mask(i, port_idx)
                     self.vc_state[i] = _VA
                     self._n_va += 1
             else:
@@ -545,94 +537,38 @@ class Router:
                     )
                 return
             state = self.vc_state[i]
-            num_vcs = self.num_vcs
-            if state == _ACTIVE:
-                fifo = self.vc_fifos[i]
-                if fifo:
-                    out_port = self.vc_out_port[i]
-                    credits = self.credits[out_port]
-                    if credits is None or credits[self.vc_out_vc[i]] > 0:
-                        in_port = i // num_vcs
-                        self._sa1_arbs[in_port]._next = (
-                            i - in_port * num_vcs + 1
-                        ) % num_vcs
-                        self._sa2_arbs[out_port]._next = (
-                            in_port + 1
-                        ) % self.num_ports
-                        self._traverse_flat(i, in_port, cycle)
-                    elif self._attrib is not None:
-                        self._charge_credit_stall(i, out_port)
-                return
             if state == _RC:
-                fifo = self.vc_fifos[i]
-                if fifo:
-                    flit = fifo[0]
-                    try:
-                        if self._adaptive:
-                            out = self._pick_adaptive_port(flit.packet.dst)
-                        else:
-                            out = self.port_index[
-                                self.routing.output_port(
-                                    self.node, flit.packet.dst
-                                )
-                            ]
-                            dead = self._dead_out
-                            if dead is not None and out in dead:
-                                out = self._drop_route(flit)
-                    except UnroutableError:
-                        out = self._drop_route(flit)
-                    self.vc_out_port[i] = out
-                    self.vc_state[i] = _VA
-                    self.vc_ready[i] = cycle + 1
-                    self._n_rc -= 1
-                    self._n_va += 1
-                    self.events.rc_computations += 1
-                    if self._stage_callbacks:
-                        # Call-site drop filter: a dict probe instead of
-                        # a Python call per event for sampled-out pids.
-                        drop = self._network.trace_drop_filter
-                        if drop is None or drop.get(flit.packet.pid, 1):
-                            for callback in self._stage_callbacks:
-                                callback(cycle, self.node, flit, "rc")
+                self._route(i, cycle)
                 return
             if state == _VA:
-                if self._va_single(i, cycle):
-                    if self.speculative_sa:
-                        # Speculative SA (Fig. 8b): the freshly granted
-                        # VC bids for the crossbar in the same cycle.
-                        fifo = self.vc_fifos[i]
-                        if fifo:
-                            out_port = self.vc_out_port[i]
-                            credits = self.credits[out_port]
-                            if (
-                                credits is None
-                                or credits[self.vc_out_vc[i]] > 0
-                            ):
-                                in_port = i // num_vcs
-                                self._sa1_arbs[in_port]._next = (
-                                    i - in_port * num_vcs + 1
-                                ) % num_vcs
-                                self._sa2_arbs[out_port]._next = (
-                                    in_port + 1
-                                ) % self.num_ports
-                                self._traverse_flat(i, in_port, cycle)
-                            elif self._attrib is not None:
-                                # Failed speculation: the VA grant
-                                # landed but the same-cycle crossbar bid
-                                # starved downstream — the lost cycle is
-                                # a credit stall (Fig. 8b semantics).
-                                self._charge_credit_stall(i, out_port)
-                elif self._attrib is not None:
-                    self._charge_stall(i, STALL_VA_CONFLICT)
+                # Speculative SA (Fig. 8b): a granted VC is ready this
+                # very cycle and bids for the crossbar at once.
+                granted = self._allocate_vcs((i,), cycle)
+                if not (granted and self.speculative_sa):
+                    return
+            elif state != _ACTIVE:
                 return
+            if self.vc_fifos[i]:
+                out_port = self.vc_out_port[i]
+                credits = self.credits[out_port]
+                if credits is None or credits[self.vc_out_vc[i]] > 0:
+                    # A sole requester wins both SA stages; the kernel's
+                    # grant on a one-bit mask is a pure pointer rotation.
+                    num_vcs = self.num_vcs
+                    in_port = i // num_vcs
+                    sa = self._sa
+                    sa.next1[in_port] = (i - in_port * num_vcs + 1) % num_vcs
+                    sa.next2[out_port] = (in_port + 1) % self.num_ports
+                    self._traverse_flat(i, in_port, cycle)
+                elif self._attrib is not None:
+                    # Also a failed speculation: the VA grant landed but
+                    # the same-cycle crossbar bid starved downstream —
+                    # the lost cycle is a credit stall (Fig. 8b).
+                    self._charge_credit_stall(i, out_port)
             return
         order = sorted(active)
         vc_state = self.vc_state
         vc_ready = self.vc_ready
-        vc_out_port = self.vc_out_port
-        vc_out_vc = self.vc_out_vc
-        vc_fifos = self.vc_fifos
-        num_vcs = self.num_vcs
         attrib = self._attrib
         if attrib is not None:
             # Attribution pre-pass: units stamped ready in the future
@@ -649,86 +585,24 @@ class Router:
                         else STALL_RC_WAIT,
                     )
 
-        # --- RC stage --- (skipped when no VC is in the RC state; an
-        # empty pass is a no-op, so the skip is bit-identical)
+        # Each stage is skipped when no VC is in its state; an empty
+        # pass is a no-op, so the skip is bit-identical.
         if self._n_rc:
-            adaptive = self._adaptive
-            routing_output = self.routing.output_port
-            port_index = self.port_index
-            node = self.node
-            ev = self.events
-            callbacks = self._stage_callbacks
             for i in order:
                 if vc_state[i] == _RC and vc_ready[i] <= cycle:
-                    fifo = vc_fifos[i]
-                    if not fifo:
-                        continue
-                    flit = fifo[0]
-                    try:
-                        if adaptive:
-                            out = self._pick_adaptive_port(flit.packet.dst)
-                        else:
-                            out = port_index[
-                                routing_output(node, flit.packet.dst)
-                            ]
-                            dead = self._dead_out
-                            if dead is not None and out in dead:
-                                out = self._drop_route(flit)
-                    except UnroutableError:
-                        out = self._drop_route(flit)
-                    vc_out_port[i] = out
-                    vc_state[i] = _VA
-                    vc_ready[i] = cycle + 1
-                    self._n_rc -= 1
-                    self._n_va += 1
-                    ev.rc_computations += 1
-                    if callbacks:
-                        drop = self._network.trace_drop_filter
-                        if drop is None or drop.get(flit.packet.pid, 1):
-                            for callback in callbacks:
-                                callback(cycle, node, flit, "rc")
-
-        # --- VA stage ---
+                    self._route(i, cycle)
         if self._n_va:
             va_units = [
                 i
                 for i in order
                 if vc_state[i] == _VA and vc_ready[i] <= cycle
             ]
-            if len(va_units) == 1:
-                if (
-                    not self._va_single(va_units[0], cycle)
-                    and attrib is not None
-                ):
-                    self._charge_stall(va_units[0], STALL_VA_CONFLICT)
-            elif va_units:
-                requests = [
-                    VARequest(
-                        i // num_vcs,
-                        i % num_vcs,
-                        vc_out_port[i],
-                        self._allowed_vcs(i, vc_out_port[i], vc_fifos),
-                    )
-                    for i in va_units
-                ]
-                free = {
-                    req.out_port: [
-                        owner is None for owner in self.out_owner[req.out_port]
-                    ]
-                    for req in requests
-                }
-                grants = self._va.allocate(requests, free)
-                for (in_port, in_vc), (out_port, out_vc) in grants.items():
-                    self._apply_va_grant(
-                        in_port * num_vcs + in_vc, out_port, out_vc, cycle
-                    )
-                if attrib is not None and len(grants) < len(va_units):
-                    for i in va_units:
-                        if (i // num_vcs, i % num_vcs) not in grants:
-                            self._charge_stall(i, STALL_VA_CONFLICT)
-
-        # --- SA + ST stage ---
+            if va_units:
+                self._allocate_vcs(va_units, cycle)
         if self._n_active:
+            vc_out_port = self.vc_out_port
+            vc_out_vc = self.vc_out_vc
+            vc_fifos = self.vc_fifos
             credits_by_port = self.credits
             sa_units: List[int] = []
             for i in order:
@@ -742,169 +616,100 @@ class Router:
                         sa_units.append(i)
                     elif attrib is not None:
                         self._charge_credit_stall(i, vc_out_port[i])
-            n_sa = len(sa_units)
-            if n_sa == 1:
-                # Sole requester wins both stages outright; both arbiters
-                # would grant their only asserted line, so just rotate
-                # pointers (bit-identical to the allocator fast path).
-                i = sa_units[0]
-                in_port = i // num_vcs
-                self._sa1_arbs[in_port]._next = (i % num_vcs + 1) % num_vcs
-                self._sa2_arbs[vc_out_port[i]]._next = (
-                    in_port + 1
-                ) % self.num_ports
-                self._traverse_flat(i, in_port, cycle)
-            elif n_sa == 2:
-                a, b = sa_units
-                a_port, b_port = a // num_vcs, b // num_vcs
-                num_ports = self.num_ports
-                if (
-                    a_port != b_port
-                    and vc_out_port[a] != vc_out_port[b]
-                ):
-                    # Disjoint input and output ports never conflict:
-                    # each is the sole contender in its SA1/SA2 arbiters.
-                    self._sa1_arbs[a_port]._next = (
-                        a % num_vcs + 1
-                    ) % num_vcs
-                    self._sa1_arbs[b_port]._next = (
-                        b % num_vcs + 1
-                    ) % num_vcs
-                    self._sa2_arbs[vc_out_port[a]]._next = (
-                        a_port + 1
-                    ) % num_ports
-                    self._sa2_arbs[vc_out_port[b]]._next = (
-                        b_port + 1
-                    ) % num_ports
-                    self._traverse_flat(a, a_port, cycle)
-                    self._traverse_flat(b, b_port, cycle)
-                elif self.qos_enabled:
-                    # Priority filtering can reshape either arbitration;
-                    # keep the allocator's general path authoritative.
-                    self._sa_general(sa_units, cycle)
-                elif a_port == b_port:
-                    # Two VCs of one input port: SA1 arbitrates, the
-                    # winner is then sole contender at its output port.
-                    # (Same pointer updates as the allocator's general
-                    # path: SA1 scans from its pointer, SA2 sees one
-                    # asserted line, which is a rotation.)
-                    a_vc, b_vc = a % num_vcs, b % num_vcs
-                    arb = self._sa1_arbs[a_port]
-                    nxt = arb._next
-                    w = a
-                    for offset in range(num_vcs):
-                        v = nxt + offset
-                        if v >= num_vcs:
-                            v -= num_vcs
-                        if v == a_vc:
-                            break
-                        if v == b_vc:
-                            w = b
-                            break
-                    arb._next = (w % num_vcs + 1) % num_vcs
-                    self._sa2_arbs[vc_out_port[w]]._next = (
-                        a_port + 1
-                    ) % num_ports
-                    self._traverse_flat(w, a_port, cycle)
-                    if attrib is not None:
-                        self._charge_stall(
-                            b if w == a else a, STALL_SA_LOSS
-                        )
-                else:
-                    # Two input ports contending for one output port:
-                    # each wins its SA1 (sole request there — pointer
-                    # rotates for winner AND loser, as in the general
-                    # path), then SA2 picks the input port.
-                    self._sa1_arbs[a_port]._next = (
-                        a % num_vcs + 1
-                    ) % num_vcs
-                    self._sa1_arbs[b_port]._next = (
-                        b % num_vcs + 1
-                    ) % num_vcs
-                    arb = self._sa2_arbs[vc_out_port[a]]
-                    nxt = arb._next
-                    w, w_port = a, a_port
-                    for offset in range(num_ports):
-                        p = nxt + offset
-                        if p >= num_ports:
-                            p -= num_ports
-                        if p == a_port:
-                            break
-                        if p == b_port:
-                            w, w_port = b, b_port
-                            break
-                    arb._next = (w_port + 1) % num_ports
-                    self._traverse_flat(w, w_port, cycle)
-                    if attrib is not None:
-                        self._charge_stall(
-                            b if w == a else a, STALL_SA_LOSS
-                        )
-            elif n_sa:
-                self._sa_general(sa_units, cycle)
+            if sa_units:
+                priorities = None
+                if self.qos_enabled:
+                    priorities = {
+                        i: vc_fifos[i][0].packet.priority for i in sa_units
+                    }
+                granted = self._sa.allocate(sa_units, vc_out_port, priorities)
+                num_vcs = self.num_vcs
+                for i in granted:
+                    self._traverse_flat(i, i // num_vcs, cycle)
+                if attrib is not None and len(granted) < len(sa_units):
+                    for i in sa_units:
+                        if i not in granted:
+                            self._charge_stall(i, STALL_SA_LOSS)
 
         # No end-of-step prune: a VC leaves ``_active`` the moment its
         # last buffered flit is popped (in ``_traverse_flat``), so every
         # unit in the set has a non-empty FIFO at step entry — the same
         # membership the legacy end-of-cycle prune produced.
 
-    def _allowed_vcs(
-        self, i: int, out_port: int, vc_fifos
-    ) -> Optional[Tuple[int, ...]]:
-        """Output-VC restriction for the head flit of flat unit *i*."""
+    def _route(self, i: int, cycle: int) -> None:
+        """RC stage for flat unit *i*: pick its output port, move to VA."""
+        fifo = self.vc_fifos[i]
+        if not fifo:
+            return
+        flit = fifo[0]
+        try:
+            if self._adaptive:
+                out = self._pick_adaptive_port(flit.packet.dst)
+            else:
+                out = self.port_index[
+                    self.routing.output_port(self.node, flit.packet.dst)
+                ]
+                dead = self._dead_out
+                if dead is not None and out in dead:
+                    out = self._drop_route(flit)
+        except UnroutableError:
+            out = self._drop_route(flit)
+        self.vc_out_port[i] = out
+        if self._vc_restricted:
+            self.vc_allowed[i] = self._allowed_mask(i, out)
+        self.vc_state[i] = _VA
+        self.vc_ready[i] = cycle + 1
+        self._n_rc -= 1
+        self._n_va += 1
+        self.events.rc_computations += 1
+        if self._stage_callbacks:
+            # Call-site drop filter: a dict probe instead of a Python
+            # call per event for sampled-out pids.
+            drop = self._network.trace_drop_filter
+            if drop is None or drop.get(flit.packet.pid, 1):
+                for callback in self._stage_callbacks:
+                    callback(cycle, self.node, flit, "rc")
+
+    def _allowed_mask(self, i: int, out_port: int) -> int:
+        """Output-VC mask the head flit of flat unit *i* may claim."""
         if self._vc_discipline:
-            fifo = vc_fifos[i]
+            fifo = self.vc_fifos[i]
             if fifo:
                 vcs = self.routing.allowed_vcs(
                     fifo[0], self.node, self.port_names[out_port]
                 )
                 # None from the discipline means "unrestricted here"
                 # (e.g. ejection ports) — same meaning as no discipline.
-                return None if vcs is None else tuple(vcs)
+                if vcs is not None:
+                    mask = 0
+                    for vc in vcs:
+                        mask |= 1 << vc
+                    return mask
         elif self.vc_by_class:
-            fifo = vc_fifos[i]
+            fifo = self.vc_fifos[i]
             if fifo:
-                return (self._class_vc(fifo[0]),)
-        return None
+                return 1 << self._class_vc(fifo[0])
+        return self._all_vcs
 
-    def _va_single(self, i: int, cycle: int) -> bool:
-        """VC allocation for a sole requester, on the flat arrays.
-
-        Stage 1 arbitrates among the free output VCs, stage 2 reduces to
-        a pointer rotation — bit-identical to the allocator's own
-        single-request path.  Returns True when a VC was granted.
-        """
-        num_vcs = self.num_vcs
-        out_port = self.vc_out_port[i]
-        owners = self.out_owner[out_port]
-        allowed = self._allowed_vcs(i, out_port, self.vc_fifos)
-        if allowed is None:
-            lines = [owner is None for owner in owners]
-        else:
-            lines = [
-                owner is None and v in allowed
-                for v, owner in enumerate(owners)
-            ]
-        if True not in lines:
-            return False
-        arb = self._va1_arbs[i]
-        nxt = arb._next
-        for offset in range(num_vcs):
-            choice = nxt + offset
-            if choice >= num_vcs:
-                choice -= num_vcs
-            if lines[choice]:
-                arb._next = (choice + 1) % num_vcs
-                self._va2_arbs[out_port * num_vcs + choice]._next = (
-                    i + 1
-                ) % len(self.in_vcs)
-                self._apply_va_grant(i, out_port, choice, cycle)
-                return True
-        return False
+    def _allocate_vcs(self, units, cycle: int) -> int:
+        """VA for *units* (ascending) through the mask kernel; commits
+        the grants in kernel order and returns how many landed."""
+        grants = self._va.allocate(
+            units, self.vc_out_port, self.vc_allowed, self.free_vcs
+        )
+        for i, out_port, out_vc in grants:
+            self._apply_va_grant(i, out_port, out_vc, cycle)
+        if self._attrib is not None and len(grants) < len(units):
+            won = {grant[0] for grant in grants}
+            for i in units:
+                if i not in won:
+                    self._charge_stall(i, STALL_VA_CONFLICT)
+        return len(grants)
 
     def _apply_va_grant(
         self, i: int, out_port: int, out_vc: int, cycle: int
     ) -> None:
-        """Commit one VA grant to the flat state (both VA paths)."""
+        """Commit one VA grant to the flat state."""
         self.vc_out_vc[i] = out_vc
         self.vc_state[i] = _ACTIVE
         # Speculative switch allocation (Fig. 8b): the flit bids for the
@@ -912,6 +717,7 @@ class Router:
         self.vc_ready[i] = cycle if self.speculative_sa else cycle + 1
         num_vcs = self.num_vcs
         self.out_owner[out_port][out_vc] = (i // num_vcs, i % num_vcs)
+        self.free_vcs[out_port] &= ~(1 << out_vc)
         self._n_va -= 1
         self._n_active += 1
         self.events.va_allocations += 1
@@ -923,33 +729,6 @@ class Router:
                 if drop is None or drop.get(granted.packet.pid, 1):
                     for callback in self._stage_callbacks:
                         callback(cycle, self.node, granted, "va")
-
-    def _sa_general(self, sa_units: List[int], cycle: int) -> None:
-        """Contended switch allocation through the separable allocator."""
-        num_vcs = self.num_vcs
-        sa_requests = [
-            SARequest(i // num_vcs, i % num_vcs, self.vc_out_port[i])
-            for i in sa_units
-        ]
-        priorities = None
-        if self.qos_enabled:
-            priorities = {}
-            for req, i in zip(sa_requests, sa_units):
-                fifo = self.vc_fifos[i]
-                if fifo:
-                    priorities[(req.in_port, req.in_vc)] = (
-                        fifo[0].packet.priority
-                    )
-        granted = set() if self._attrib is not None else None
-        for grant in self._sa.allocate(sa_requests, priorities):
-            gi = grant.in_port * num_vcs + grant.in_vc
-            if granted is not None:
-                granted.add(gi)
-            self._traverse_flat(gi, grant.in_port, cycle)
-        if granted is not None:
-            for i in sa_units:
-                if i not in granted:
-                    self._charge_stall(i, STALL_SA_LOSS)
 
     def _traverse_flat(self, i: int, in_port: int, cycle: int) -> None:
         """Move one flit through the crossbar and onto its output."""
@@ -1049,6 +828,7 @@ class Router:
 
         if flit.is_tail:
             self.out_owner[out_port][out_vc] = None
+            self.free_vcs[out_port] |= 1 << out_vc
             self.vc_out_port[i] = -1
             self.vc_out_vc[i] = -1
             self._n_active -= 1
@@ -1065,9 +845,3 @@ class Router:
                 self._n_rc += 1
         else:
             self.vc_ready[i] = cycle + 1
-
-    def _traverse(self, grant: SARequest, cycle: int) -> None:
-        """Legacy-shaped traversal entry point (kept for harness code)."""
-        self._traverse_flat(
-            grant.in_port * self.num_vcs + grant.in_vc, grant.in_port, cycle
-        )

@@ -20,11 +20,13 @@ trusting any counter the audited code updates itself:
   within ``[0, buffer_depth]``.
 * **VC state-machine legality** — idle VCs are empty, VCs in RC/VA hold
   a head flit, active VCs own exactly the output VC the owner table says
-  they do (and vice versa: tails release ownership exactly once), flits
-  within one buffer form legal head..tail wormhole runs, and the
-  router's pipeline-stage population counters and active sets agree with
-  the actual VC states (a buffered flit outside the active set would be
-  stranded forever).
+  they do (and vice versa: tails release ownership exactly once), the
+  free-VC bitmasks VA arbitrates over mirror the owner table, a VC
+  waiting in VA still carries the allowed-VC mask its head flit is
+  entitled to, flits within one buffer form legal head..tail wormhole
+  runs, and the router's pipeline-stage population counters and active
+  sets agree with the actual VC states (a buffered flit outside the
+  active set would be stranded forever).
 * **layer-mask integrity** — every in-network flit's active-layer mask
   is well-formed (``1 <= active_groups <= layer_groups``, mask is the
   contiguous bottom-up ``(1 << active_groups) - 1`` with the always-on
@@ -455,6 +457,7 @@ class NetworkSanitizer:
                                 f"{flits[0].seq})",
                                 pid=flits[0].packet.pid,
                             )
+                    flat = unit.port * num_vcs + unit.vc
                     if unit.state == _ACTIVE:
                         if unit.out_port < 0 or unit.out_vc < 0:
                             raise err(
@@ -464,11 +467,21 @@ class NetworkSanitizer:
                         owned[(unit.out_port, unit.out_vc)] = (
                             unit.port, unit.vc,
                         )
-                    elif unit.state == _VA and unit.out_port < 0:
-                        raise err("VC in VA without a computed route")
+                    elif unit.state == _VA:
+                        if unit.out_port < 0:
+                            raise err("VC in VA without a computed route")
+                        # The allowed-VC mask is computed with the route;
+                        # the head flit must still be entitled to it.
+                        allowed = router._allowed_mask(flat, unit.out_port)
+                        if router.vc_allowed[flat] != allowed:
+                            raise err(
+                                f"stale allowed-VC mask "
+                                f"{router.vc_allowed[flat]:#x}; the head "
+                                f"flit may claim {allowed:#x}",
+                                pid=flits[0].packet.pid,
+                            )
                     # A buffered flit outside the router's active set
                     # would never be stepped again: stranded forever.
-                    flat = unit.port * num_vcs + unit.vc
                     if flits and flat not in router._active:
                         raise err(
                             "VC holds flits but is not in the router's "
@@ -510,10 +523,12 @@ class NetworkSanitizer:
 
             # Output-side ownership must mirror the input-side states —
             # in both directions, which is what makes a double tail
-            # release (or a forgotten one) visible.
+            # release (or a forgotten one) visible.  The free-VC masks
+            # VA arbitrates over must mirror the owner table.
             for out_port in range(router.num_ports):
+                owners = router.out_owner[out_port]
                 for out_vc in range(num_vcs):
-                    owner = router.out_owner[out_port][out_vc]
+                    owner = owners[out_vc]
                     expect = owned.pop((out_port, out_vc), None)
                     if owner != expect:
                         raise SanityError(
@@ -524,6 +539,19 @@ class NetworkSanitizer:
                             port_name=router.port_names[out_port],
                             vc=out_vc,
                         )
+                free = sum(
+                    1 << out_vc
+                    for out_vc, owner in enumerate(owners)
+                    if owner is None
+                )
+                if router.free_vcs[out_port] != free:
+                    raise SanityError(
+                        "vc-state",
+                        f"free-VC mask {router.free_vcs[out_port]:#x} "
+                        f"disagrees with the owner table ({free:#x})",
+                        cycle, node=node, port=out_port,
+                        port_name=router.port_names[out_port],
+                    )
 
     def _check_buffer_runs(
         self, cycle: int, router, unit, flits: Tuple[Flit, ...]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.arch import make_3dme
-from repro.noc.allocator import SARequest, SwitchAllocator
+from repro.noc.allocator import SwitchAllocator
 from repro.noc.network import Network
 from repro.noc.packet import Packet, PacketClass, data_packet
 from repro.noc.simulator import Simulator
@@ -14,38 +14,40 @@ from repro.traffic.base import BaseTraffic, ScheduledTraffic
 class TestPriorityAllocator:
     def test_high_priority_wins_stage2(self):
         sa = SwitchAllocator(3, 2)
-        requests = [SARequest(0, 0, 2), SARequest(1, 0, 2)]
-        priorities = {(0, 0): 0, (1, 0): 5}
+        # Input VCs (0, 0) and (1, 0) are units 0 and 2.
+        out_port = {0: 2, 2: 2}
+        priorities = {0: 0, 2: 5}
         for _ in range(10):
-            grants = sa.allocate(requests, priorities)
-            assert grants == [SARequest(1, 0, 2)]
+            grants = sa.allocate([0, 2], out_port, priorities)
+            assert grants == [2]
 
     def test_high_priority_wins_stage1(self):
         sa = SwitchAllocator(3, 2)
-        requests = [SARequest(0, 0, 1), SARequest(0, 1, 2)]
-        priorities = {(0, 0): 1, (0, 1): 9}
+        out_port = {0: 1, 1: 2}
+        priorities = {0: 1, 1: 9}
         for _ in range(10):
-            grants = sa.allocate(requests, priorities)
-            assert grants == [SARequest(0, 1, 2)]
+            grants = sa.allocate([0, 1], out_port, priorities)
+            assert grants == [1]
 
     def test_equal_priority_round_robins(self):
         sa = SwitchAllocator(2, 1)
-        requests = [SARequest(0, 0, 1), SARequest(1, 0, 1)]
-        priorities = {(0, 0): 3, (1, 0): 3}
-        winners = [sa.allocate(requests, priorities)[0].in_port for _ in range(6)]
+        out_port = {0: 1, 1: 1}
+        priorities = {0: 3, 1: 3}
+        winners = [
+            sa.allocate([0, 1], out_port, priorities)[0] for _ in range(6)
+        ]
         assert set(winners) == {0, 1}
 
     def test_no_priorities_behaves_as_before(self):
         sa = SwitchAllocator(2, 1)
-        requests = [SARequest(0, 0, 1), SARequest(1, 0, 1)]
-        winners = [sa.allocate(requests, None)[0].in_port for _ in range(4)]
+        out_port = {0: 1, 1: 1}
+        winners = [sa.allocate([0, 1], out_port, None)[0] for _ in range(4)]
         assert winners == [0, 1, 0, 1]
 
     def test_missing_priority_defaults_to_zero(self):
         sa = SwitchAllocator(2, 1)
-        requests = [SARequest(0, 0, 1), SARequest(1, 0, 1)]
-        grants = sa.allocate(requests, {(1, 0): 2})
-        assert grants == [SARequest(1, 0, 1)]
+        grants = sa.allocate([0, 1], {0: 1, 1: 1}, {1: 2})
+        assert grants == [1]
 
 
 class _TwoClassTraffic(BaseTraffic):
